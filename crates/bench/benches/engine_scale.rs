@@ -6,9 +6,9 @@
 //! drain). The 8×8 case matches the golden-digest configuration; the
 //! 32×32 cases match the saturation-sweep shape where the occupancy
 //! tracker and idle fast-forward dominate. Simulation results are
-//! byte-identical across every `engine_threads` / fast-forward setting
-//! (see `crates/sim/tests/engine_determinism_properties.rs`), so this
-//! bench measures pure wall-clock, never accuracy.
+//! byte-identical with fast-forward on or off (see
+//! `crates/sim/tests/engine_determinism_properties.rs`), so this bench
+//! measures pure wall-clock, never accuracy.
 //!
 //! ```text
 //! BSOR_BENCH_JSON=BENCH_engine.json cargo bench -p bsor_bench --bench engine_scale
@@ -60,15 +60,14 @@ const CASES: &[Case] = &[
     },
 ];
 
-fn run_case(case: &Case, threads: usize) -> SimReport {
+fn run_case(case: &Case) -> SimReport {
     let topo = Topology::mesh2d(case.side, case.side);
     let w = transpose(&topo).expect("square power-of-two grid");
     let routes = Baseline::XY.select(&topo, &w.flows, 2).expect("xy");
     let traffic = TrafficSpec::proportional(&w.flows, case.rate);
     let config = SimConfig::new(2)
         .with_warmup(case.warmup)
-        .with_measurement(case.measurement)
-        .with_engine_threads(threads);
+        .with_measurement(case.measurement);
     let mut sim = Simulator::new(&topo, &w.flows, &routes, traffic, config).expect("valid");
     sim.run()
 }
@@ -77,15 +76,11 @@ fn bench_engine_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_scale");
     g.sample_size(10);
     for case in CASES {
-        // threads=1 exercises the serial schedule with occupancy
-        // skipping and fast-forward; threads=0 would mean "one per
-        // core" via the CLI, but the bench pins explicit values so the
-        // JSON is comparable across machines.
-        for threads in [1usize, 2] {
-            g.bench_function(format!("{}_t{}", case.name, threads), |b| {
-                b.iter(|| black_box(run_case(case, threads)))
-            });
-        }
+        // The `_t1` suffix keeps the names comparable with the serial
+        // rows of `BENCH_engine.json`.
+        g.bench_function(format!("{}_t1", case.name), |b| {
+            b.iter(|| black_box(run_case(case)))
+        });
     }
     g.finish();
 }

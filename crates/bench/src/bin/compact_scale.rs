@@ -31,6 +31,8 @@
 //! compression ratio misses the <= 25% acceptance bound, 1 on bad
 //! arguments or write failure.
 
+#![forbid(unsafe_code)]
+
 use bsor::{AlgorithmRegistry, Scenario};
 use bsor_bench::json::Json;
 use bsor_routing::selectors::AcObliviousSelector;

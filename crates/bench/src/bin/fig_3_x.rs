@@ -12,6 +12,8 @@
 //! cargo run -p bsor-bench --release --bin fig_3_x
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_cdg::render::{acyclic_to_dot, cdg_to_dot};
 use bsor_cdg::{AcyclicCdg, TurnModel};
 use bsor_topology::Topology;

@@ -7,6 +7,8 @@
 //! cargo run -p bsor-bench --release --bin fig_5_4 [--csv]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::csv_mode;
 use bsor_sim::MarkovVariation;
 

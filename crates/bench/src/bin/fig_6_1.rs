@@ -7,6 +7,8 @@
 //! cargo run -p bsor-bench --release --bin fig_6_1 [--quick] [--paper] [--csv]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::{
     csv_mode, rates_for, run_mode, standard_mesh, sweep_for, write_figure, StdoutSink,
 };

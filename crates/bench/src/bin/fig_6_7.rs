@@ -10,6 +10,8 @@
 //! cargo run -p bsor-bench --release --bin fig_6_7 [--quick] [--paper] [--csv]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::{csv_mode, run_mode, standard_mesh, write_vc_sweep, StdoutSink};
 
 fn main() {

@@ -23,6 +23,8 @@
 //! deterministic byte for byte — same binary, same flags, same bytes —
 //! which the `oblivious-smoke` CI job checks by running it twice.
 
+#![forbid(unsafe_code)]
+
 use bsor::{AlgorithmRegistry, RegistryConfig};
 use bsor_bench::json::Json;
 use bsor_bench::{fmt_row, run_mode, scenario_for, standard_mesh, RunMode};

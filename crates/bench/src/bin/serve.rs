@@ -29,6 +29,8 @@
 //!
 //! Exit codes: 0 on clean EOF, 1 on bad arguments or transport failure.
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::serve::{serve_lines, serve_tcp, PlanService, ServeConfig};
 use bsor_sim::PlanCacheConfig;
 use std::net::TcpListener;

@@ -32,6 +32,8 @@
 //!   --out PATH      output path                     (default BENCH_serve.json)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::json::Json;
 use bsor_bench::serve::{PlanService, ServeConfig};
 use bsor_bench::sweep::SweepRegistries;

@@ -6,6 +6,8 @@
 //! cargo run -p bsor-bench --release --bin table_6_2 [--quick] [--csv]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor::SelectorKind;
 use bsor_bench::{csv_mode, fmt_row, mcl_for, run_mode, standard_mesh, table_cdgs, table_dijkstra};
 use bsor_workloads::all_six;

@@ -10,6 +10,8 @@
 //! cargo run -p bsor-bench --release --bin table_6_3 [--quick] [--csv]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bsor_bench::{csv_mode, fmt_row, run_mode, scenario_for, standard_algorithms, standard_mesh};
 use bsor_routing::Baseline;
 use bsor_sim::{ExperimentError, Planner, RouteAlgorithm};

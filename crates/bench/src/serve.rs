@@ -20,10 +20,10 @@
 //!            | { "id": any, "ok": false, "error": { "code": string, "message": string } }
 //!
 //! plan       = { "op": "plan", "topology"?: name | spec, "width"?: int, "height"?: int,
-//!                "workload": spec, "algorithm": name, "vcs"?: int }
+//!                "workload": spec, "algorithm": name, "vcs"?: 1..=8 }
 //! evaluate   = plan fields + { "op": "evaluate", "rate": number,
 //!                "backend"?: "static" | "sim", "warmup"?: int, "measurement"?: int,
-//!                "packet_len"?: int, "seed"?: int }
+//!                "packet_len"?: int >= 1, "seed"?: int }
 //! invalidate = { "op": "invalidate", "links": [[src, dst], ...] }
 //! stats      = { "op": "stats" }
 //! ```
@@ -326,6 +326,11 @@ impl PlanService {
         let height = opt_dim(request, "height")?.unwrap_or(8);
         let workload = req_str(request, "workload")?.to_owned();
         let vcs = opt_u8(request, "vcs")?.unwrap_or(2);
+        if !(1..=8).contains(&vcs) {
+            return Err(ServeError::BadRequest(format!(
+                "field 'vcs' must be 1..=8, got {vcs}"
+            )));
+        }
         let key: ScenarioKey = (topology, width, height, workload, vcs);
         if let Some(hit) = self.scenarios.lock().expect("memo poisoned").get(&key) {
             return Ok(hit.clone());
@@ -388,16 +393,25 @@ impl PlanService {
             .and_then(Json::as_f64)
             .ok_or_else(|| ServeError::BadRequest("missing number field 'rate'".to_owned()))?;
         let backend = opt_str(request, "backend")?.unwrap_or("static");
+        let warmup = opt_u64(request, "warmup")?.unwrap_or(200);
+        let measurement = opt_u64(request, "measurement")?.unwrap_or(1_000);
+        // Validated before planning: a bad request costs no route solve.
+        let packet_len = opt_u64(request, "packet_len")?
+            .map(|n| {
+                usize::try_from(n).ok().filter(|&n| n >= 1).ok_or_else(|| {
+                    ServeError::BadRequest("field 'packet_len' must be at least 1".to_owned())
+                })
+            })
+            .transpose()?;
+        let seed = opt_u64(request, "seed")?;
         let (plan, _scenario) = self.plan(request)?;
         let mut config = SimConfig::new(plan.vcs())
-            .with_warmup(opt_u64(request, "warmup")?.unwrap_or(200))
-            .with_measurement(opt_u64(request, "measurement")?.unwrap_or(1_000));
-        if let Some(packet_len) = opt_u64(request, "packet_len")? {
-            let packet_len = usize::try_from(packet_len)
-                .map_err(|_| ServeError::BadRequest("'packet_len' out of range".to_owned()))?;
+            .with_warmup(warmup)
+            .with_measurement(measurement);
+        if let Some(packet_len) = packet_len {
             config = config.with_packet_len(packet_len);
         }
-        if let Some(seed) = opt_u64(request, "seed")? {
+        if let Some(seed) = seed {
             config = config.with_seed(seed);
         }
         let point = EvalPoint::new(rate, config);

@@ -13,9 +13,8 @@
 //! [`bsor_sim::PlanCache`] (on by default; see
 //! [`plan_cache_enabled_from_env`]) collapses those requests to exactly
 //! one route solve per case; disabling it re-solves per request — the
-//! cost profile of driving `Experiment::run` once per grid point, which
-//! the pre-plan sweep avoided only by hand-hoisting route selection out
-//! of its loops — with byte-identical output, which is how CI proves
+//! cost profile of planning afresh at every grid point — with
+//! byte-identical output, which is how CI proves
 //! the cache changes cost and nothing else. [`PlanStats`]
 //! reports the solve/cache-hit counters.
 //!
@@ -213,15 +212,11 @@ pub struct GridSpec {
     /// When false, every wall-clock field in the JSON is zeroed so two
     /// runs of the same grid diff byte-identically.
     pub record_timings: bool,
-    /// Engine worker threads per simulation run (see
-    /// [`bsor_sim::SimConfig::engine_threads`]). Purely a wall-clock
-    /// knob: the engine is byte-deterministic at every value, and the
-    /// knob is deliberately *not* echoed in the JSON so sweeps at
-    /// different thread counts diff byte-identically.
-    pub engine_threads: usize,
     /// Idle-cycle fast-forward (see
-    /// [`bsor_sim::SimConfig::fast_forward`]). Also byte-invariant and
-    /// also not echoed in the JSON.
+    /// [`bsor_sim::SimConfig::fast_forward`]). Purely a wall-clock knob:
+    /// the engine is byte-deterministic either way, and the knob is
+    /// deliberately *not* echoed in the JSON so sweeps with and without
+    /// it diff byte-identically.
     pub fast_forward: bool,
     /// Optional on/off bursty injection applied to every run.
     pub burst: Option<BurstyOnOff>,
@@ -271,7 +266,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -293,7 +287,6 @@ impl GridSpec {
             packet_len: 8,
             seed: 0xB50B,
             record_timings: true,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -538,7 +531,6 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
             .with_measurement(spec.measurement)
             .with_packet_len(spec.packet_len)
             .with_seed(spec.seed)
-            .with_engine_threads(spec.engine_threads.max(1))
             .with_fast_forward(spec.fast_forward)
     };
     let point_for = |rate: f64| {
@@ -837,9 +829,9 @@ pub fn run_grid_stats(
 /// every pre-existing key and all cache-off/cache-on runs
 /// byte-identical. Each saturation object also carries an `outcome`
 /// label (`knee` / `censored` / `baseline-saturated`, see
-/// [`SaturationOutcome`]) — additive again, and `engine_threads` /
-/// `fast_forward` are deliberately absent from the document so runs at
-/// any engine configuration diff byte-identically. Each case further
+/// [`SaturationOutcome`]) — additive again, and `fast_forward` is
+/// deliberately absent from the document so runs with and without it
+/// diff byte-identically. Each case further
 /// carries the measured `table_bytes` of its compiled routing tables
 /// and the grid echoes the `compact_tables` knob — the only two keys
 /// that differ between a compact and a dense sweep of the same grid,
@@ -1003,7 +995,6 @@ mod tests {
             packet_len: 4,
             seed: 7,
             record_timings: false,
-            engine_threads: 1,
             fast_forward: true,
             burst: None,
             saturation: None,
@@ -1276,7 +1267,6 @@ mod tests {
         spec.workloads = vec!["transpose".into()];
         spec.algorithms = vec!["xy".into()];
         let reference = sweep_json(&spec, &run_grid(&spec, 1), 1, 0.0).pretty();
-        spec.engine_threads = 4;
         spec.fast_forward = false;
         let tuned = sweep_json(&spec, &run_grid(&spec, 2), 2, 0.0).pretty();
         assert_eq!(

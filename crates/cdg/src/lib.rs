@@ -35,6 +35,8 @@
 //! assert_eq!(acyclic.removed_edges(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod acyclic;
 pub mod cdg;
 pub mod render;

@@ -13,6 +13,8 @@
 //! external dependency; absolute numbers are comparable only within a
 //! single run.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

@@ -13,6 +13,8 @@
 //!   seeded from the case index), so failures reproduce exactly.
 //! * Uniform (not bias-weighted) sampling over ranges.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

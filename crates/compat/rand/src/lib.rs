@@ -12,6 +12,8 @@
 //! this workspace depends on matching them, only on determinism per
 //! seed.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

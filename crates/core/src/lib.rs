@@ -35,6 +35,8 @@
 //! ([`topology`], [`cdg`], [`flow`], [`routing`], [`sim`], [`workloads`],
 //! [`lp`], [`netgraph`]) so applications can depend on `bsor` alone.
 
+#![forbid(unsafe_code)]
+
 pub use bsor_cdg as cdg;
 pub use bsor_flow as flow;
 pub use bsor_lp as lp;

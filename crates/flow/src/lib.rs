@@ -33,6 +33,8 @@
 //! assert_eq!(ga.min_route_links(&flow), Some(4));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod flow;
 pub mod network;
 

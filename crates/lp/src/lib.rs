@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod milp;
 pub mod problem;
 pub mod simplex;

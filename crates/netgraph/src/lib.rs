@@ -26,6 +26,8 @@
 //! assert_eq!(order, vec![a, b, c]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod graph;
 

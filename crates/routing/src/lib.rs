@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod compact;
 pub mod deadlock;

@@ -23,6 +23,8 @@
 //! assert_eq!(mesh.link(l).direction, Some(Direction::East));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod geometry;
 pub mod graph;
 pub mod index;

@@ -35,6 +35,8 @@
 //! assert_eq!(w.flows.max_demand(), SYNTHETIC_DEMAND);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod patterns;
 pub mod registry;

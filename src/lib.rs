@@ -5,6 +5,8 @@
 //! crates under stable names so examples and tests can use a single
 //! dependency.
 
+#![forbid(unsafe_code)]
+
 pub use bsor;
 pub use bsor_cdg as cdg;
 pub use bsor_flow as flow;
