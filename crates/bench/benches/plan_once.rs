@@ -1,13 +1,9 @@
-//! Plan-once vs. legacy per-point planning on a 4×4 saturation
-//! bisection — the microbench behind `BENCH_plan.json`.
+//! Plan-once saturation bisection on a 4×4 mesh — the microbench
+//! behind `BENCH_plan.json`'s `plan_once_evaluate_n_*` rows.
 //!
-//! `legacy_per_point` is the pre-plan pipeline: every probe of the
-//! bisection re-runs route selection and recompiles the node tables
-//! before simulating (what `Experiment::run` per grid point used to
-//! cost). `plan_once_evaluate_n` plans once through a cached `Planner`
-//! and evaluates every probe on the plan's precompiled tables — the
-//! shape `bsor-sweep --saturation` now has. Same probes, same seeds,
-//! same knee; only the redundant solves disappear.
+//! `plan_once_evaluate_n` plans once through a cached `Planner` and
+//! evaluates every probe of the bisection on the plan's precompiled
+//! tables — the shape `bsor-sweep --saturation` has.
 //!
 //! ```text
 //! BSOR_BENCH_JSON=BENCH_plan.json cargo bench -p bsor_bench --bench plan_once
@@ -46,13 +42,12 @@ fn bisect(mut latency_at: impl FnMut(f64) -> Option<f64>) -> f64 {
     lo
 }
 
-fn bench_plan_vs_legacy(c: &mut Criterion) {
+fn bench_plan_once(c: &mut Criterion) {
     let mesh = Topology::mesh2d(4, 4);
     let w = transpose(&mesh).expect("square");
     let evaluator = SimEvaluator::new();
-    // Both framework selectors: the Dijkstra exploration is cheap (the
-    // win is mostly skipped table recompilation), while the MILP is the
-    // paper's expensive solve the bisection used to repeat ~8×.
+    // Both framework selectors: the Dijkstra exploration is cheap, the
+    // MILP is the paper's expensive solve.
     let algorithms: Vec<(&str, BsorAlgorithm)> = vec![
         ("dijkstra", BsorAlgorithm::dijkstra()),
         (
@@ -64,25 +59,6 @@ fn bench_plan_vs_legacy(c: &mut Criterion) {
     g.sample_size(10);
 
     for (name, algo) in &algorithms {
-        g.bench_function(format!("legacy_per_point_{name}"), |b| {
-            b.iter(|| {
-                let scenario = Scenario::builder(mesh.clone(), w.flows.clone())
-                    .vcs(2)
-                    .build()
-                    .expect("valid");
-                black_box(bisect(|rate| {
-                    // Uncached: every probe re-solves routes and
-                    // recompiles tables, as the pre-plan per-point
-                    // pipeline did.
-                    let plan = Planner::new().plan(&scenario, algo).expect("routable");
-                    evaluator
-                        .evaluate(&plan, &EvalPoint::new(rate, config()))
-                        .expect("simulates")
-                        .mean_latency
-                }))
-            })
-        });
-
         g.bench_function(format!("plan_once_evaluate_n_{name}"), |b| {
             b.iter(|| {
                 let scenario = Scenario::builder(mesh.clone(), w.flows.clone())
@@ -91,8 +67,7 @@ fn bench_plan_vs_legacy(c: &mut Criterion) {
                     .expect("valid");
                 let planner = Planner::new().with_cache(PlanCache::shared());
                 black_box(bisect(|rate| {
-                    // One solve, then cache hits on precompiled tables:
-                    // the shape bsor-sweep --saturation now has.
+                    // One solve, then cache hits on precompiled tables.
                     let plan = planner.plan(&scenario, algo).expect("routable");
                     evaluator
                         .evaluate(&plan, &EvalPoint::new(rate, config()))
@@ -105,5 +80,5 @@ fn bench_plan_vs_legacy(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_plan_vs_legacy);
+criterion_group!(benches, bench_plan_once);
 criterion_main!(benches);

@@ -1,12 +1,15 @@
 //! `compact_scale` — dense vs interval-compressed routing-state bench
 //! across 64x64–256x256 meshes, committed as `BENCH_compact.json`.
 //!
-//! For every (mesh size, workload, algorithm) cell the bench selects
-//! routes directly (no planner, no certificate — this measures table
-//! state, not the pipeline), compiles both the dense `NodeTables` and
+//! For every (mesh size, workload, algorithm) cell the bench obtains
+//! routes (baselines select directly; registry algorithms plan through
+//! a compact-table `Planner`), compiles both the dense `NodeTables` and
 //! the interval-compressed `CompactTables`, and records measured bytes,
-//! bytes per node and build/solve wall times. Combinations that cannot
-//! run at a size are *typed records*, never silent gaps:
+//! bytes per node and build/solve wall times. A cell's `solve_ms` is
+//! the selection time for baselines and the whole plan time (select,
+//! validate, certify, compact compile) for registry algorithms.
+//! Combinations that cannot run at a size are *typed records*, never
+//! silent gaps:
 //!
 //! * `skipped` — over the bench's time budget (all-pairs workloads past
 //!   64x64, CDG-exploring or walk-based selectors past their last
@@ -33,7 +36,7 @@
 
 #![forbid(unsafe_code)]
 
-use bsor::{AlgorithmRegistry, Scenario};
+use bsor::{AlgorithmRegistry, Planner, Scenario};
 use bsor_bench::json::Json;
 use bsor_routing::selectors::AcObliviousSelector;
 use bsor_routing::tables::RouteTables;
@@ -130,8 +133,8 @@ fn baseline_cell(topo: &Topology, baseline: Baseline, w: &Workload) -> (Json, f6
     }
 }
 
-/// Selects through the registry (the framework / selector algorithms)
-/// and measures the resulting tables.
+/// Plans through the registry (the framework / selector algorithms)
+/// and measures the resulting tables; `solve_ms` is the plan time.
 fn registry_cell(
     registry: &AlgorithmRegistry,
     topo: &Topology,
@@ -148,10 +151,13 @@ fn registry_cell(
     };
     let algorithm = registry.get(name).expect("standard registry");
     let started = Instant::now();
-    match scenario.select_routes(algorithm) {
-        Ok(routes) => {
+    match Planner::new()
+        .with_compact_tables(true)
+        .plan(&scenario, algorithm)
+    {
+        Ok(plan) => {
             let solve_ms = ms(started);
-            measure_tables(topo, &routes, w.flows.len(), solve_ms)
+            measure_tables(topo, plan.routes(), w.flows.len(), solve_ms)
         }
         Err(e) => (refused(e.to_string()), 0.0),
     }

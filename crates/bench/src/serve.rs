@@ -21,7 +21,7 @@
 //!
 //! plan       = { "op": "plan", "topology"?: name | spec, "width"?: int, "height"?: int,
 //!                "workload": spec, "algorithm": name, "vcs"?: 1..=8 }
-//! evaluate   = plan fields + { "op": "evaluate", "rate": number,
+//! evaluate   = plan fields + { "op": "evaluate", "rate": number >= 0,
 //!                "backend"?: "static" | "sim", "warmup"?: int, "measurement"?: int,
 //!                "packet_len"?: int >= 1, "seed"?: int }
 //! invalidate = { "op": "invalidate", "links": [[src, dst], ...] }
@@ -156,24 +156,6 @@ impl From<JsonParseError> for ServeError {
 impl From<bsor_sim::Error> for ServeError {
     fn from(e: bsor_sim::Error) -> Self {
         ServeError::Pipeline(e)
-    }
-}
-
-impl From<bsor_sim::PlanError> for ServeError {
-    fn from(e: bsor_sim::PlanError) -> Self {
-        ServeError::Pipeline(e.into())
-    }
-}
-
-impl From<bsor_sim::EvalError> for ServeError {
-    fn from(e: bsor_sim::EvalError) -> Self {
-        ServeError::Pipeline(e.into())
-    }
-}
-
-impl From<bsor_sim::ExperimentError> for ServeError {
-    fn from(e: bsor_sim::ExperimentError) -> Self {
-        ServeError::Pipeline(e.into())
     }
 }
 
@@ -392,6 +374,14 @@ impl PlanService {
             .get("rate")
             .and_then(Json::as_f64)
             .ok_or_else(|| ServeError::BadRequest("missing number field 'rate'".to_owned()))?;
+        // Validated before planning, like `packet_len` below: the engine
+        // asserts on a negative offered rate and the static backend
+        // would echo it as a throughput.
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(ServeError::BadRequest(
+                "field 'rate' must be a finite non-negative number".to_owned(),
+            ));
+        }
         let backend = opt_str(request, "backend")?.unwrap_or("static");
         let warmup = opt_u64(request, "warmup")?.unwrap_or(200);
         let measurement = opt_u64(request, "measurement")?.unwrap_or(1_000);

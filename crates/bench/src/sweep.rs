@@ -35,8 +35,8 @@
 use crate::json::Json;
 use bsor::AlgorithmRegistry;
 use bsor_sim::{
-    BurstyOnOff, EvalPoint, Evaluator, ExperimentError, PlanCache, PlanStats, Planner,
-    RouteAlgorithm, Scenario, SimConfig, SimEvaluator,
+    BurstyOnOff, EvalPoint, Evaluator, PlanCache, PlanStats, Planner, RouteAlgorithm, Scenario,
+    SimConfig, SimEvaluator,
 };
 use bsor_topology::TopologyRegistry;
 use bsor_workloads::WorkloadRegistry;
@@ -458,8 +458,8 @@ pub struct CaseResult {
     /// metric), when routing succeeded.
     pub mcl: Option<f64>,
     /// Route-computation, workload or validation error, when the case
-    /// failed. Deadlock-capable route sets rejected by the pipeline
-    /// (`ExperimentError::CyclicCdg`) land here too.
+    /// failed. Deadlock-capable route sets rejected by the planner
+    /// (`bsor_sim::Error::Deadlock`) land here too.
     pub error: Option<String>,
     /// Per-rate measurements (empty when `error` is set).
     pub points: Vec<PointResult>,
@@ -517,11 +517,10 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
         Err(e) => return failed_case(case, e.to_string()),
     };
     // Plan up front: route selection, Lemma-1 certification and table
-    // compilation happen here; failures become the case error exactly
-    // as the pre-plan pipeline reported them.
+    // compilation happen here; a failure becomes the case error.
     let plan = match planner.plan(&scenario, algorithm) {
         Ok(p) => p,
-        Err(e) => return failed_case(case, ExperimentError::from(e).to_string()),
+        Err(e) => return failed_case(case, e.to_string()),
     };
     let mcl = plan.predicted_mcl();
     let table_bytes = plan.table_bytes() as u64;
@@ -545,12 +544,12 @@ fn run_case(spec: &GridSpec, case: &Case, regs: &SweepRegistries, planner: &Plan
     for &rate in &spec.rates {
         // Every point re-requests the plan — with the cache on that is
         // one lookup, with it off a full re-solve (the naive
-        // Experiment-per-point cost) — and evaluates on the plan's
+        // plan-per-point cost) — and evaluates on the plan's
         // precompiled tables. Either step failing (e.g. a CLI rate the
         // simulator rejects) is a recorded case error, never a panic.
         let plan = match planner.plan(&scenario, algorithm) {
             Ok(p) => p,
-            Err(e) => return failed_case(case, ExperimentError::from(e).to_string()),
+            Err(e) => return failed_case(case, e.to_string()),
         };
         let ev = match evaluator.evaluate(&plan, &point_for(rate)) {
             Ok(ev) => ev,
@@ -628,7 +627,7 @@ fn saturation_search(
         runs += 1;
         let plan = planner
             .plan(scenario, algorithm)
-            .map_err(|e| ExperimentError::from(e).to_string())?;
+            .map_err(|e| e.to_string())?;
         let ev = evaluator
             .evaluate(&plan, &point_for(rate))
             .map_err(|e| format!("saturation probe at rate {rate}: {e}"))?;

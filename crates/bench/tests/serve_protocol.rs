@@ -33,7 +33,11 @@ const SCRIPT: &str = concat!(
     "\n",
     r#"{"id":11,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":0.2,"backend":"sim","packet_len":0}"#,
     "\n",
-    r#"{"id":12,"op":"stats"}"#,
+    r#"{"id":12,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":-1,"backend":"sim"}"#,
+    "\n",
+    r#"{"id":13,"op":"evaluate","workload":"transpose","algorithm":"xy","width":4,"height":4,"rate":-1,"backend":"static"}"#,
+    "\n",
+    r#"{"id":14,"op":"stats"}"#,
     "\n",
 );
 
@@ -64,7 +68,7 @@ fn run_binary(input: &str) -> Vec<String> {
 #[test]
 fn binary_answers_good_bad_and_malformed_requests_deterministically() {
     let first = run_binary(SCRIPT);
-    assert_eq!(first.len(), 12, "one response line per request line");
+    assert_eq!(first.len(), 14, "one response line per request line");
     let parsed: Vec<Json> = first
         .iter()
         .map(|line| Json::parse(line).expect("every response is valid JSON"))
@@ -77,7 +81,7 @@ fn binary_answers_good_bad_and_malformed_requests_deterministically() {
             .and_then(Json::as_str)
             .expect("failed responses carry a code")
     };
-    assert!(ok(0) && ok(1) && ok(2) && ok(3) && ok(4) && ok(11));
+    assert!(ok(0) && ok(1) && ok(2) && ok(3) && ok(4) && ok(13));
     assert_eq!(first[0], first[1], "the cache hit answers byte-identically");
     assert_eq!(code(5), "unknown-workload");
     assert_eq!(code(6), "unknown-op");
@@ -87,7 +91,11 @@ fn binary_answers_good_bad_and_malformed_requests_deterministically() {
     assert_eq!(code(8), "bad-request", "vcs 0");
     assert_eq!(code(9), "bad-request", "vcs 9");
     assert_eq!(code(10), "bad-request", "packet_len 0");
-    let stats = parsed[11].get("result").expect("stats result");
+    // A negative rate would panic the engine and echo as a negative
+    // throughput from the static backend: both answer typed, unplanned.
+    assert_eq!(code(11), "bad-request", "negative rate, sim backend");
+    assert_eq!(code(12), "bad-request", "negative rate, static backend");
+    let stats = parsed[13].get("result").expect("stats result");
     assert_eq!(
         stats.get("solves").and_then(Json::as_u64),
         Some(1),

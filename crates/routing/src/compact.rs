@@ -384,7 +384,7 @@ impl RouteTables for CompactTables {
 
 /// A routing table in either representation, chosen at plan-build time.
 ///
-/// This is what [`bsor_sim`-level] plans store: the planner decides
+/// This is what `bsor_sim`-level plans store: the planner decides
 /// dense vs compact once and everything downstream (simulator, cache
 /// byte accounting, serve responses) goes through [`RouteTables`].
 #[derive(Clone, Debug, PartialEq)]

@@ -1,14 +1,15 @@
-//! The unified error surface: one [`Error`] enum every pipeline
-//! failure converts into, with a stable machine-readable
-//! [`Error::code`] for protocol boundaries.
+//! The one pipeline error: a flat [`Error`] enum with one variant per
+//! root cause and a stable machine-readable [`Error::code`] for
+//! protocol boundaries.
 //!
-//! The workspace's typed errors stay fine-grained where they arise —
-//! [`PlanError`] from planning, [`EvalError`] from evaluation,
-//! [`ExperimentError`] from scenario building, [`WorkloadError`] from
-//! workload instantiation, [`SimError`] from the engine — but a caller
-//! that spans the whole pipeline (a sweep driver, a plan server) wants
-//! one type to bubble and one code vocabulary to expose. `From` impls
-//! exist for every constituent, so `?` converts anywhere:
+//! Every entry point of the scenario → plan → evaluate pipeline returns
+//! it: [`ScenarioBuilder::build`](crate::ScenarioBuilder::build),
+//! [`RouteAlgorithm::routes`](crate::RouteAlgorithm::routes),
+//! [`Planner::plan`](crate::Planner::plan) and
+//! [`Evaluator::evaluate`](crate::Evaluator::evaluate). The leaf errors
+//! stay in the crates that raise them ([`SelectError`], [`RouteError`],
+//! [`FlowSetError`], [`CdgError`], [`SimError`], [`WorkloadError`]) and
+//! each converts with one `From` impl, so `?` works anywhere:
 //!
 //! ```
 //! use bsor_sim::{Error, Scenario};
@@ -18,7 +19,7 @@
 //! fn build(width: u16) -> Result<Scenario, Error> {
 //!     let topo = Topology::mesh2d(width, width);
 //!     let flows = bsor_workloads::transpose(&topo)?.flows; // WorkloadError
-//!     Ok(Scenario::builder(topo, flows).vcs(2).build()?) // ExperimentError
+//!     Scenario::builder(topo, flows).vcs(2).build()
 //! }
 //!
 //! let err = build(3).unwrap_err(); // transpose needs a power-of-two
@@ -32,26 +33,50 @@
 //! new codes. The full vocabulary is documented on [`Error::code`].
 
 use crate::config::SimError;
-use crate::plan::{EvalError, PlanError};
-use crate::scenario::{AlgorithmError, ExperimentError};
+use bsor_cdg::CdgError;
+use bsor_flow::FlowSetError;
+use bsor_routing::{RouteError, SelectError};
+use bsor_topology::TopologyKind;
 use bsor_workloads::WorkloadError;
 use std::fmt;
 
-/// Any failure the scenario → plan → evaluate pipeline can produce,
-/// tagged with the stage that produced it.
-///
-/// Display defers to the wrapped error; [`Error::code`] gives the
-/// stable machine-readable classification (stage-independent: the same
-/// root cause maps to the same code whichever stage surfaced it).
+/// Any failure the scenario → plan → evaluate pipeline can produce, one
+/// variant per root cause.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// Planning failed (route selection, validation, certification).
-    Plan(PlanError),
-    /// Evaluating a plan failed.
-    Eval(EvalError),
-    /// Building or running a scenario failed.
-    Experiment(ExperimentError),
+    /// A route selector failed (unroutable flow, missing VCs, MILP,
+    /// size budget).
+    Select(SelectError),
+    /// The algorithm does not apply to this topology family (e.g.
+    /// dimension-order routing on a hypercube, whose links carry no grid
+    /// direction).
+    UnsupportedTopology {
+        /// Algorithm display name.
+        algorithm: String,
+        /// The offending topology family.
+        kind: TopologyKind,
+    },
+    /// A framework-level algorithm failure (e.g. no explored CDG was
+    /// usable).
+    Algorithm(String),
+    /// The algorithm produced malformed routes (wrong endpoints,
+    /// non-adjacent hops, …).
+    InvalidRoutes(RouteError),
+    /// The routes' induced channel dependence graph is cyclic — running
+    /// them could deadlock (paper Lemma 1), so no plan is produced.
+    Deadlock {
+        /// The offending algorithm's display name.
+        algorithm: String,
+        /// Length of the dependence cycle found.
+        cycle_len: usize,
+    },
+    /// The flow set failed validation against the topology.
+    InvalidFlows(FlowSetError),
+    /// No acyclic CDG could be derived for the scenario.
+    Cdg(CdgError),
+    /// The simulator rejected the configuration or traffic.
+    Sim(SimError),
     /// Instantiating a workload on a topology failed.
     Workload(WorkloadError),
 }
@@ -76,26 +101,16 @@ impl Error {
     /// | `bad-workload-spec` | a known family with a malformed argument |
     /// | `bad-workload` | the workload cannot instantiate on the topology |
     pub fn code(&self) -> &'static str {
-        fn algorithm(e: &AlgorithmError) -> &'static str {
-            use bsor_routing::SelectError;
-            match e {
-                AlgorithmError::Select(SelectError::BudgetExceeded { .. }) => "budget-exceeded",
-                AlgorithmError::Select(_) => "select-failed",
-                AlgorithmError::UnsupportedTopology { .. } => "unsupported-topology",
-                _ => "algorithm-failed",
-            }
-        }
         match self {
-            Error::Plan(PlanError::Algorithm(e)) => algorithm(e),
-            Error::Plan(PlanError::InvalidRoutes(_)) => "invalid-routes",
-            Error::Plan(PlanError::Deadlock { .. }) => "deadlock",
-            Error::Eval(EvalError::Sim(_)) => "sim-rejected",
-            Error::Experiment(ExperimentError::Algorithm(e)) => algorithm(e),
-            Error::Experiment(ExperimentError::InvalidRoutes(_)) => "invalid-routes",
-            Error::Experiment(ExperimentError::CyclicCdg { .. }) => "deadlock",
-            Error::Experiment(ExperimentError::InvalidFlows(_)) => "invalid-flows",
-            Error::Experiment(ExperimentError::Cdg(_)) => "cdg-underivable",
-            Error::Experiment(ExperimentError::Sim(_)) => "sim-rejected",
+            Error::Select(SelectError::BudgetExceeded { .. }) => "budget-exceeded",
+            Error::Select(_) => "select-failed",
+            Error::UnsupportedTopology { .. } => "unsupported-topology",
+            Error::Algorithm(_) => "algorithm-failed",
+            Error::InvalidRoutes(_) => "invalid-routes",
+            Error::Deadlock { .. } => "deadlock",
+            Error::InvalidFlows(_) => "invalid-flows",
+            Error::Cdg(_) => "cdg-underivable",
+            Error::Sim(_) => "sim-rejected",
             Error::Workload(WorkloadError::UnknownWorkload { .. }) => "unknown-workload",
             Error::Workload(WorkloadError::BadSpec { .. }) => "bad-workload-spec",
             Error::Workload(_) => "bad-workload",
@@ -106,9 +121,23 @@ impl Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Plan(e) => write!(f, "{e}"),
-            Error::Eval(e) => write!(f, "{e}"),
-            Error::Experiment(e) => write!(f, "{e}"),
+            Error::Select(e) => write!(f, "{e}"),
+            Error::UnsupportedTopology { algorithm, kind } => {
+                write!(f, "{algorithm} does not support {kind:?} topologies")
+            }
+            Error::Algorithm(msg) => write!(f, "{msg}"),
+            Error::InvalidRoutes(e) => write!(f, "invalid routes: {e}"),
+            Error::Deadlock {
+                algorithm,
+                cycle_len,
+            } => write!(
+                f,
+                "{algorithm} produced routes with a {cycle_len}-long channel dependence \
+                 cycle (not deadlock-free, refusing to plan)"
+            ),
+            Error::InvalidFlows(e) => write!(f, "invalid flow set: {e}"),
+            Error::Cdg(e) => write!(f, "cannot derive an acyclic CDG: {e}"),
+            Error::Sim(e) => write!(f, "{e}"),
             Error::Workload(e) => write!(f, "{e}"),
         }
     }
@@ -117,29 +146,46 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Plan(e) => Some(e),
-            Error::Eval(e) => Some(e),
-            Error::Experiment(e) => Some(e),
+            Error::Select(e) => Some(e),
+            Error::InvalidRoutes(e) => Some(e),
+            Error::InvalidFlows(e) => Some(e),
+            Error::Cdg(e) => Some(e),
+            Error::Sim(e) => Some(e),
             Error::Workload(e) => Some(e),
+            Error::UnsupportedTopology { .. } | Error::Algorithm(_) | Error::Deadlock { .. } => {
+                None
+            }
         }
     }
 }
 
-impl From<PlanError> for Error {
-    fn from(e: PlanError) -> Self {
-        Error::Plan(e)
+impl From<SelectError> for Error {
+    fn from(e: SelectError) -> Self {
+        Error::Select(e)
     }
 }
 
-impl From<EvalError> for Error {
-    fn from(e: EvalError) -> Self {
-        Error::Eval(e)
+impl From<RouteError> for Error {
+    fn from(e: RouteError) -> Self {
+        Error::InvalidRoutes(e)
     }
 }
 
-impl From<ExperimentError> for Error {
-    fn from(e: ExperimentError) -> Self {
-        Error::Experiment(e)
+impl From<FlowSetError> for Error {
+    fn from(e: FlowSetError) -> Self {
+        Error::InvalidFlows(e)
+    }
+}
+
+impl From<CdgError> for Error {
+    fn from(e: CdgError) -> Self {
+        Error::Cdg(e)
+    }
+}
+
+impl From<SimError> for Error {
+    fn from(e: SimError) -> Self {
+        Error::Sim(e)
     }
 }
 
@@ -149,65 +195,85 @@ impl From<WorkloadError> for Error {
     }
 }
 
-impl From<AlgorithmError> for Error {
-    /// Algorithm failures classify identically whichever stage surfaced
-    /// them; planning is the canonical one.
-    fn from(e: AlgorithmError) -> Self {
-        Error::Plan(PlanError::Algorithm(e))
-    }
-}
-
-impl From<SimError> for Error {
-    /// A bare engine rejection is an evaluation failure.
-    fn from(e: SimError) -> Self {
-        Error::Eval(EvalError::Sim(e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsor_routing::RouteError;
+    use bsor_flow::FlowId;
 
+    /// One instance per variant (two for the split `Select` and
+    /// `Workload` codes): the whole 12-code vocabulary, pinned.
     #[test]
     fn codes_are_stage_independent_and_stable() {
-        let plan: Error = PlanError::Deadlock {
-            algorithm: "x".into(),
-            cycle_len: 3,
-        }
-        .into();
-        let experiment: Error = ExperimentError::CyclicCdg {
-            algorithm: "x".into(),
-            cycle_len: 3,
-        }
-        .into();
-        assert_eq!(plan.code(), "deadlock");
-        assert_eq!(plan.code(), experiment.code());
-
-        let invalid: Error =
-            PlanError::InvalidRoutes(RouteError::MissingRoute(bsor_flow::FlowId(0))).into();
-        assert_eq!(invalid.code(), "invalid-routes");
-        assert_eq!(
-            Error::from(ExperimentError::InvalidRoutes(RouteError::MissingRoute(
-                bsor_flow::FlowId(0)
-            )))
-            .code(),
-            "invalid-routes"
-        );
+        let table: Vec<(Error, &str)> = vec![
+            (
+                SelectError::Unroutable { flow: FlowId(0) }.into(),
+                "select-failed",
+            ),
+            (
+                SelectError::BudgetExceeded {
+                    links: 224,
+                    max_links: 16,
+                }
+                .into(),
+                "budget-exceeded",
+            ),
+            (
+                Error::UnsupportedTopology {
+                    algorithm: "XY".into(),
+                    kind: TopologyKind::Hypercube,
+                },
+                "unsupported-topology",
+            ),
+            (Error::Algorithm("boom".into()), "algorithm-failed"),
+            (RouteError::MissingRoute(FlowId(0)).into(), "invalid-routes"),
+            (
+                Error::Deadlock {
+                    algorithm: "x".into(),
+                    cycle_len: 3,
+                },
+                "deadlock",
+            ),
+            (FlowSetError::SelfFlow(FlowId(0)).into(), "invalid-flows"),
+            (CdgError::NotAGrid.into(), "cdg-underivable"),
+            (
+                SimError::BadRate {
+                    flow: 0,
+                    rate: -1.0,
+                }
+                .into(),
+                "sim-rejected",
+            ),
+            (
+                WorkloadError::UnknownWorkload { name: "x".into() }.into(),
+                "unknown-workload",
+            ),
+            (
+                WorkloadError::BadSpec {
+                    spec: "hotspot:lots".into(),
+                    reason: "not a number".into(),
+                }
+                .into(),
+                "bad-workload-spec",
+            ),
+            (WorkloadError::NotSquare.into(), "bad-workload"),
+        ];
+        let codes: Vec<&str> = table.iter().map(|(e, _)| e.code()).collect();
+        let expected: Vec<&str> = table.iter().map(|&(_, c)| c).collect();
+        assert_eq!(codes, expected);
+        let mut distinct = codes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 12, "every code is distinct");
     }
 
     #[test]
     fn budget_refusals_classify_separately_from_selector_failures() {
-        use bsor_routing::SelectError;
-        let budget: Error = AlgorithmError::Select(SelectError::BudgetExceeded {
+        let budget: Error = SelectError::BudgetExceeded {
             links: 224,
             max_links: 16,
-        })
+        }
         .into();
-        let unroutable: Error = AlgorithmError::Select(SelectError::Unroutable {
-            flow: bsor_flow::FlowId(0),
-        })
-        .into();
+        let unroutable: Error = SelectError::Unroutable { flow: FlowId(0) }.into();
         assert_eq!(budget.code(), "budget-exceeded");
         assert_eq!(unroutable.code(), "select-failed");
     }
@@ -231,5 +297,11 @@ mod tests {
         let e: Error = WorkloadError::NotSquare.into();
         assert_eq!(e.to_string(), WorkloadError::NotSquare.to_string());
         assert!(std::error::Error::source(&e).is_some());
+        let e = Error::UnsupportedTopology {
+            algorithm: "XY".into(),
+            kind: TopologyKind::FullMesh,
+        };
+        assert_eq!(e.to_string(), "XY does not support FullMesh topologies");
+        assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -53,14 +53,10 @@ pub use config::{SimConfig, SimError};
 pub use engine::Simulator;
 pub use error::Error;
 pub use plan::{
-    CacheStats, EvalError, EvalPoint, Evaluation, Evaluator, InvalidateOutcome, PlanCache,
-    PlanCacheConfig, PlanError, PlanId, PlanKey, PlanStats, Planner, RoutePlan, SimEvaluator,
-    StaticMclEvaluator,
+    CacheStats, EvalPoint, Evaluation, Evaluator, InvalidateOutcome, PlanCache, PlanCacheConfig,
+    PlanId, PlanKey, PlanStats, Planner, RoutePlan, SimEvaluator, StaticMclEvaluator,
 };
-pub use scenario::{
-    AlgorithmError, Experiment, ExperimentError, RouteAlgorithm, Scenario, ScenarioBuilder,
-    ScenarioCtx,
-};
+pub use scenario::{RouteAlgorithm, Scenario, ScenarioBuilder, ScenarioCtx};
 pub use stats::{FlowStats, LatencyHistogram, RunTiming, SimReport};
 pub use traffic::{
     BurstyOnOff, InjectionProcess, MarkovVariation, Phase, PhaseSchedule, TrafficSpec,

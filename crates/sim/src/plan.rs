@@ -53,8 +53,9 @@
 //! # }
 //! ```
 
-use crate::config::{SimConfig, SimError};
-use crate::scenario::{AlgorithmError, RouteAlgorithm, Scenario};
+use crate::config::SimConfig;
+use crate::error::Error;
+use crate::scenario::{RouteAlgorithm, Scenario};
 use crate::stats::{RunTiming, SimReport};
 use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule, TrafficSpec};
 use crate::Simulator;
@@ -62,10 +63,9 @@ use bsor_cdg::AcyclicCdg;
 use bsor_flow::FlowSet;
 use bsor_routing::deadlock::{self, DeadlockCertificate};
 use bsor_routing::tables::RouteTables;
-use bsor_routing::{AnyTables, RouteError, RouteSet};
+use bsor_routing::{AnyTables, RouteSet};
 use bsor_topology::Topology;
 use std::collections::HashMap;
-use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -325,84 +325,6 @@ impl PartialEq for RoutePlan {
     }
 }
 
-/// Why a [`Planner`] could not produce a [`RoutePlan`].
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum PlanError {
-    /// The routing algorithm failed.
-    Algorithm(AlgorithmError),
-    /// The algorithm produced malformed routes (wrong endpoints,
-    /// non-adjacent hops, …).
-    InvalidRoutes(RouteError),
-    /// The routes' induced channel dependence graph is cyclic — running
-    /// them could deadlock (paper Lemma 1), so no plan is produced.
-    Deadlock {
-        /// The offending algorithm's display name.
-        algorithm: String,
-        /// Length of the dependence cycle found.
-        cycle_len: usize,
-    },
-}
-
-impl fmt::Display for PlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::Algorithm(e) => write!(f, "{e}"),
-            PlanError::InvalidRoutes(e) => write!(f, "invalid routes: {e}"),
-            PlanError::Deadlock {
-                algorithm,
-                cycle_len,
-            } => write!(
-                f,
-                "{algorithm} produced routes with a {cycle_len}-long channel dependence \
-                 cycle (not deadlock-free, refusing to plan)"
-            ),
-        }
-    }
-}
-
-impl Error for PlanError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            PlanError::Algorithm(e) => Some(e),
-            PlanError::InvalidRoutes(e) => Some(e),
-            PlanError::Deadlock { .. } => None,
-        }
-    }
-}
-
-impl From<AlgorithmError> for PlanError {
-    fn from(e: AlgorithmError) -> Self {
-        PlanError::Algorithm(e)
-    }
-}
-
-impl From<RouteError> for PlanError {
-    fn from(e: RouteError) -> Self {
-        PlanError::InvalidRoutes(e)
-    }
-}
-
-impl From<PlanError> for crate::scenario::ExperimentError {
-    /// Maps planning failures onto the legacy experiment errors (the
-    /// shimmed [`crate::Experiment`] pipeline reports identically to the
-    /// pre-plan one).
-    fn from(e: PlanError) -> Self {
-        use crate::scenario::ExperimentError;
-        match e {
-            PlanError::Algorithm(e) => ExperimentError::Algorithm(e),
-            PlanError::InvalidRoutes(e) => ExperimentError::InvalidRoutes(e),
-            PlanError::Deadlock {
-                algorithm,
-                cycle_len,
-            } => ExperimentError::CyclicCdg {
-                algorithm,
-                cycle_len,
-            },
-        }
-    }
-}
-
 /// Sizing knobs for a [`PlanCache`].
 ///
 /// The defaults are an unbounded cache over
@@ -541,12 +463,12 @@ struct CacheEntry {
 /// and wakes every follower blocked in [`Flight::wait`].
 #[derive(Debug, Default)]
 struct Flight {
-    result: Mutex<Option<Result<Arc<RoutePlan>, PlanError>>>,
+    result: Mutex<Option<Result<Arc<RoutePlan>, Error>>>,
     done: Condvar,
 }
 
 impl Flight {
-    fn wait(&self) -> Result<Arc<RoutePlan>, PlanError> {
+    fn wait(&self) -> Result<Arc<RoutePlan>, Error> {
         let mut slot = self.result.lock().expect("flight poisoned");
         while slot.is_none() {
             slot = self.done.wait(slot).expect("flight poisoned");
@@ -554,7 +476,7 @@ impl Flight {
         slot.as_ref().expect("flight published").clone()
     }
 
-    fn publish(&self, result: Result<Arc<RoutePlan>, PlanError>) {
+    fn publish(&self, result: Result<Arc<RoutePlan>, Error>) {
         *self.result.lock().expect("flight poisoned") = Some(result);
         self.done.notify_all();
     }
@@ -801,7 +723,7 @@ impl PlanCache {
         &self,
         key: &PlanKey,
         flight: &Arc<Flight>,
-        result: Result<Arc<RoutePlan>, PlanError>,
+        result: Result<Arc<RoutePlan>, Error>,
         elapsed: std::time::Duration,
     ) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
@@ -1030,13 +952,15 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// Any [`PlanError`]: selection failure, malformed routes, or a
-    /// cyclic induced CDG.
+    /// [`Error::Select`], [`Error::UnsupportedTopology`] or
+    /// [`Error::Algorithm`] when the algorithm fails,
+    /// [`Error::InvalidRoutes`] for malformed routes, and
+    /// [`Error::Deadlock`] for a cyclic induced CDG.
     pub fn plan(
         &self,
         scenario: &Scenario,
         algorithm: &dyn RouteAlgorithm,
-    ) -> Result<Arc<RoutePlan>, PlanError> {
+    ) -> Result<Arc<RoutePlan>, Error> {
         let key = PlanKey::new(scenario, &algorithm.cache_key());
         let Some(cache) = &self.cache else {
             self.solves.fetch_add(1, Ordering::Relaxed);
@@ -1077,12 +1001,12 @@ fn build_plan(
     algorithm: &dyn RouteAlgorithm,
     id: PlanId,
     compact_tables: bool,
-) -> Result<RoutePlan, PlanError> {
+) -> Result<RoutePlan, Error> {
     let routes = algorithm.routes(&scenario.ctx())?;
     routes.validate(scenario.topology(), scenario.flows(), scenario.vcs())?;
     let certificate =
         deadlock::certify(scenario.topology(), &routes, scenario.vcs()).map_err(|cycle| {
-            PlanError::Deadlock {
+            Error::Deadlock {
                 algorithm: algorithm.name().to_owned(),
                 cycle_len: cycle.len(),
             }
@@ -1199,37 +1123,6 @@ pub struct Evaluation {
     pub timing: Option<RunTiming>,
 }
 
-/// Why an [`Evaluator`] could not produce an [`Evaluation`].
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum EvalError {
-    /// The simulator rejected the evaluation point (bad rate,
-    /// inconsistent traffic, …).
-    Sim(SimError),
-}
-
-impl fmt::Display for EvalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvalError::Sim(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for EvalError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            EvalError::Sim(e) => Some(e),
-        }
-    }
-}
-
-impl From<SimError> for EvalError {
-    fn from(e: SimError) -> Self {
-        EvalError::Sim(e)
-    }
-}
-
 /// Judges a [`RoutePlan`] at an [`EvalPoint`].
 ///
 /// Backends are interchangeable: both ship [`Evaluation`] with the same
@@ -1243,8 +1136,8 @@ pub trait Evaluator {
     ///
     /// # Errors
     ///
-    /// Any [`EvalError`].
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError>;
+    /// [`Error::Sim`] when the backend rejects the point.
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, Error>;
 }
 
 /// The analytical backend: channel-load / MCL arithmetic straight from
@@ -1277,7 +1170,7 @@ impl Evaluator for StaticMclEvaluator {
         "static-mcl"
     }
 
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError> {
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, Error> {
         let total_demand = plan.flows().total_demand();
         let packet_len = point.config.packet_len as f64;
         // MB/s → flits/cycle at this offered rate.
@@ -1346,12 +1239,12 @@ impl SimEvaluator {
     ///
     /// # Errors
     ///
-    /// [`EvalError::Sim`] when the simulator rejects the inputs.
+    /// [`Error::Sim`] when the simulator rejects the inputs.
     pub fn simulate(
         &self,
         plan: &RoutePlan,
         point: &EvalPoint,
-    ) -> Result<(SimReport, RunTiming), EvalError> {
+    ) -> Result<(SimReport, RunTiming), Error> {
         let mut config = point.config.clone();
         config.vcs = plan.vcs();
         let mut traffic = TrafficSpec::proportional(plan.flows(), point.rate);
@@ -1381,7 +1274,7 @@ impl Evaluator for SimEvaluator {
         "sim"
     }
 
-    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, EvalError> {
+    fn evaluate(&self, plan: &RoutePlan, point: &EvalPoint) -> Result<Evaluation, Error> {
         let (report, timing) = self.simulate(plan, point)?;
         // One per-flow histogram merge serves all three percentiles.
         let hist = report.latency_histogram();
@@ -1429,7 +1322,9 @@ mod tests {
     fn plan_matches_direct_selection_and_certifies() {
         let s = scenario(2);
         let plan = Planner::new().plan(&s, &Baseline::XY).expect("plans");
-        let direct = s.select_routes(&Baseline::XY).expect("selects");
+        let direct = Baseline::XY
+            .select(s.topology(), s.flows(), s.vcs())
+            .expect("selects");
         assert_eq!(plan.routes(), &direct);
         assert_eq!(plan.predicted_mcl(), direct.mcl(s.topology(), s.flows()));
         assert!(plan.certificate().verify(plan.routes()));
@@ -1642,14 +1537,14 @@ mod tests {
 
     #[test]
     fn plan_error_display_and_sources() {
-        let e = PlanError::Deadlock {
+        let e = Error::Deadlock {
             algorithm: "x".into(),
             cycle_len: 4,
         };
         assert!(e.to_string().contains("refusing to plan"));
-        assert!(Error::source(&e).is_none());
-        let e: PlanError = AlgorithmError::Failed("boom".into()).into();
-        assert_eq!(e.to_string(), "boom");
-        assert!(Error::source(&e).is_some());
+        assert!(std::error::Error::source(&e).is_none());
+        let e: Error = bsor_routing::RouteError::MissingRoute(bsor_flow::FlowId(0)).into();
+        assert!(e.to_string().starts_with("invalid routes: "));
+        assert!(std::error::Error::source(&e).is_some());
     }
 }

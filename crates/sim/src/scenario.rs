@@ -1,4 +1,5 @@
-//! The unified scenario/experiment pipeline.
+//! The scenario half of the pipeline: what a routing algorithm is run
+//! on, and the one trait every algorithm implements.
 //!
 //! The paper's framework is compositional: a topology, an application's
 //! flow set, a deadlock-free acyclic CDG, and a route-selection function
@@ -9,15 +10,17 @@
 //!   topology, its CSR index, the flows, the VC count and an acyclic CDG.
 //! * [`RouteAlgorithm`] is the single trait every algorithm implements —
 //!   the paper's baselines (XY/YX/O1TURN/ROMM/Valiant) and the BSOR
-//!   selectors alike — replacing the two historical `select` signatures.
-//! * [`ScenarioBuilder`] → [`Scenario`] → [`Experiment`] is the one
-//!   pipeline every binary drives: it owns CDG construction, route
-//!   selection, **mandatory deadlock validation** (paper Lemma 1), route
-//!   validation, table compilation and simulation.
+//!   selectors alike.
+//! * [`ScenarioBuilder`] → [`Scenario`] validates the flows and derives
+//!   the CDG once. [`crate::Planner::plan`] is then the one selection
+//!   pipeline: route selection, route validation, **mandatory deadlock
+//!   certification** (paper Lemma 1) and table compilation; an
+//!   [`crate::Evaluator`] runs the resulting plan at an
+//!   [`crate::EvalPoint`].
 //!
 //! ```
 //! use bsor_routing::Baseline;
-//! use bsor_sim::{Evaluator, RouteAlgorithm, Scenario, SimConfig, SimEvaluator};
+//! use bsor_sim::{EvalPoint, Evaluator, Planner, Scenario, SimConfig, SimEvaluator};
 //! use bsor_flow::FlowSet;
 //! use bsor_topology::Topology;
 //!
@@ -26,13 +29,9 @@
 //! let mut flows = FlowSet::new();
 //! flows.push(mesh.node_at(0, 0).unwrap(), mesh.node_at(3, 3).unwrap(), 25.0);
 //! let scenario = Scenario::builder(mesh, flows).vcs(2).build()?;
+//! let plan = Planner::new().plan(&scenario, &Baseline::XY)?;
 //! let config = SimConfig::new(2).with_warmup(100).with_measurement(1_000);
-//! let experiment = scenario
-//!     .experiment(&Baseline::XY)
-//!     .config(config)
-//!     .rate(0.05);
-//! let plan = experiment.plan()?;
-//! let evaluation = SimEvaluator::new().evaluate(&plan, &experiment.eval_point())?;
+//! let evaluation = SimEvaluator::new().evaluate(&plan, &EvalPoint::new(0.05, config))?;
 //! assert!(evaluation.delivered > 0);
 //! # Ok(())
 //! # }
@@ -46,8 +45,8 @@
 //! name-addressable):
 //!
 //! ```
-//! use bsor_routing::{Route, RouteSet, SelectError};
-//! use bsor_sim::{AlgorithmError, RouteAlgorithm, ScenarioCtx};
+//! use bsor_routing::{Route, RouteSet};
+//! use bsor_sim::{Error, RouteAlgorithm, ScenarioCtx};
 //!
 //! /// Routes every flow along a minimal path chosen by a custom rule.
 //! struct MyAlgorithm;
@@ -57,26 +56,23 @@
 //!         "my-algorithm"
 //!     }
 //!
-//!     fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+//!     fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
 //!         // Consult ctx.topo / ctx.flows / ctx.vcs / ctx.cdg freely; the
-//!         // pipeline will reject the result if it is not deadlock-free.
+//!         // planner will reject the result if it is not deadlock-free.
 //!         let routes: Vec<Route> = ctx.flows.iter().map(|_f| todo!()).collect();
 //!         Ok(RouteSet::from_routes(routes))
 //!     }
 //! }
 //! ```
 
-use crate::config::{SimConfig, SimError};
-use crate::traffic::{BurstyOnOff, MarkovVariation, PhaseSchedule};
+use crate::error::Error;
 use bsor_cdg::{AcyclicCdg, CdgError, TurnModel};
-use bsor_flow::{FlowNetwork, FlowSet, FlowSetError};
+use bsor_flow::{FlowNetwork, FlowSet};
 use bsor_routing::selectors::{
     AcObliviousSelector, DijkstraSelector, MilpSelector, RandomWalkSelector,
 };
-use bsor_routing::{deadlock, RouteError, RouteSet, SelectError};
+use bsor_routing::RouteSet;
 use bsor_topology::{TopoIndex, Topology, TopologyKind};
-use std::error::Error;
-use std::fmt;
 
 /// Everything a [`RouteAlgorithm`] may consult when computing routes.
 ///
@@ -100,52 +96,6 @@ pub struct ScenarioCtx<'a> {
     pub cdg: &'a AcyclicCdg,
 }
 
-/// Why a [`RouteAlgorithm`] could not produce routes.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum AlgorithmError {
-    /// A route selector failed (unroutable flow, missing VCs, MILP).
-    Select(SelectError),
-    /// The algorithm does not apply to this topology family (e.g.
-    /// dimension-order routing on a hypercube, whose links carry no grid
-    /// direction).
-    UnsupportedTopology {
-        /// Algorithm display name.
-        algorithm: String,
-        /// The offending topology family.
-        kind: TopologyKind,
-    },
-    /// A framework-level failure (e.g. no explored CDG was usable).
-    Failed(String),
-}
-
-impl fmt::Display for AlgorithmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AlgorithmError::Select(e) => write!(f, "{e}"),
-            AlgorithmError::UnsupportedTopology { algorithm, kind } => {
-                write!(f, "{algorithm} does not support {kind:?} topologies")
-            }
-            AlgorithmError::Failed(msg) => write!(f, "{msg}"),
-        }
-    }
-}
-
-impl Error for AlgorithmError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            AlgorithmError::Select(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SelectError> for AlgorithmError {
-    fn from(e: SelectError) -> Self {
-        AlgorithmError::Select(e)
-    }
-}
-
 /// One routing algorithm, from oblivious baseline to full BSOR framework.
 ///
 /// This is the single route-selection surface of the workspace: the
@@ -160,11 +110,10 @@ impl From<SelectError> for AlgorithmError {
 ///
 /// * `routes` must return one route per flow, in flow order.
 /// * Routes need not be validated or proven deadlock-free by the
-///   implementation — [`Scenario::select_routes`] re-checks both
-///   (Lemma 1) and rejects offenders with
-///   [`ExperimentError::CyclicCdg`] — but algorithms are expected to be
-///   deadlock-free by construction, as every oblivious algorithm in the
-///   paper is.
+///   implementation — [`crate::Planner::plan`] re-checks both (Lemma 1)
+///   and rejects offenders with [`Error::Deadlock`] — but algorithms are
+///   expected to be deadlock-free by construction, as every oblivious
+///   algorithm in the paper is.
 /// * Determinism: for a fixed context and configuration the same routes
 ///   must come back every time (randomized algorithms carry seeds).
 pub trait RouteAlgorithm {
@@ -192,9 +141,11 @@ pub trait RouteAlgorithm {
     ///
     /// # Errors
     ///
-    /// Any [`AlgorithmError`]: selection failure, unsupported topology,
-    /// or a framework-level failure.
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError>;
+    /// [`Error::Select`] for selection failures,
+    /// [`Error::UnsupportedTopology`] for topology families the algorithm
+    /// does not apply to, [`Error::Algorithm`] for framework-level
+    /// failures.
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error>;
 }
 
 /// Grid families dimension-order walks apply to: the walk steps through
@@ -225,15 +176,15 @@ impl RouteAlgorithm for bsor_routing::Baseline {
 
     /// Dimension-order construction; ignores `ctx.cdg` (the baselines
     /// are deadlock-free by their VC discipline, not by CDG conformance).
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         if !supports_dor(ctx.topo.kind()) {
-            return Err(AlgorithmError::UnsupportedTopology {
+            return Err(Error::UnsupportedTopology {
                 algorithm: bsor_routing::Baseline::name(self).to_owned(),
                 kind: ctx.topo.kind(),
             });
         }
         self.select(ctx.topo, ctx.flows, ctx.vcs)
-            .map_err(AlgorithmError::from)
+            .map_err(Error::from)
     }
 }
 
@@ -249,9 +200,9 @@ impl RouteAlgorithm for DijkstraSelector {
 
     /// Routes every flow inside `ctx.cdg` with the weighted
     /// shortest-path heuristic (paper §3.6).
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         let net = FlowNetwork::new(ctx.topo, ctx.cdg);
-        self.select(&net, ctx.flows).map_err(AlgorithmError::from)
+        self.select(&net, ctx.flows).map_err(Error::from)
     }
 }
 
@@ -269,9 +220,9 @@ impl RouteAlgorithm for AcObliviousSelector {
 
     /// Solves the Applegate–Cohen worst-case-optimal LP over the flow
     /// set's commodities and rounds it to CDG-conforming routes.
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         let net = FlowNetwork::new(ctx.topo, ctx.cdg);
-        self.select(&net, ctx.flows).map_err(AlgorithmError::from)
+        self.select(&net, ctx.flows).map_err(Error::from)
     }
 }
 
@@ -286,9 +237,9 @@ impl RouteAlgorithm for RandomWalkSelector {
     }
 
     /// Seeded oblivious walks towards each sink inside `ctx.cdg`.
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         let net = FlowNetwork::new(ctx.topo, ctx.cdg);
-        self.select(&net, ctx.flows).map_err(AlgorithmError::from)
+        self.select(&net, ctx.flows).map_err(Error::from)
     }
 }
 
@@ -304,99 +255,11 @@ impl RouteAlgorithm for MilpSelector {
 
     /// Routes every flow inside `ctx.cdg` with the mixed integer-linear
     /// program (paper §3.5).
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         let net = FlowNetwork::new(ctx.topo, ctx.cdg);
         self.select(&net, ctx.flows)
             .map(|(routes, _report)| routes)
-            .map_err(AlgorithmError::from)
-    }
-}
-
-/// Errors from the scenario/experiment pipeline.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum ExperimentError {
-    /// The flow set failed validation against the topology.
-    InvalidFlows(FlowSetError),
-    /// No acyclic CDG could be derived for the scenario.
-    Cdg(CdgError),
-    /// The routing algorithm failed.
-    Algorithm(AlgorithmError),
-    /// The algorithm produced routes whose induced channel dependence
-    /// graph is **cyclic** — running them could deadlock (paper
-    /// Lemma 1), so the pipeline refuses to simulate.
-    CyclicCdg {
-        /// The offending algorithm's display name.
-        algorithm: String,
-        /// Length of the dependence cycle found.
-        cycle_len: usize,
-    },
-    /// The routes are malformed (wrong endpoints, non-adjacent hops, …).
-    InvalidRoutes(RouteError),
-    /// The simulator rejected the scenario.
-    Sim(SimError),
-}
-
-impl fmt::Display for ExperimentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExperimentError::InvalidFlows(e) => write!(f, "invalid flow set: {e}"),
-            ExperimentError::Cdg(e) => write!(f, "cannot derive an acyclic CDG: {e}"),
-            ExperimentError::Algorithm(e) => write!(f, "{e}"),
-            ExperimentError::CyclicCdg {
-                algorithm,
-                cycle_len,
-            } => write!(
-                f,
-                "{algorithm} produced routes with a {cycle_len}-long channel dependence \
-                 cycle (not deadlock-free, refusing to simulate)"
-            ),
-            ExperimentError::InvalidRoutes(e) => write!(f, "invalid routes: {e}"),
-            ExperimentError::Sim(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for ExperimentError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ExperimentError::InvalidFlows(e) => Some(e),
-            ExperimentError::Cdg(e) => Some(e),
-            ExperimentError::Algorithm(e) => Some(e),
-            ExperimentError::InvalidRoutes(e) => Some(e),
-            ExperimentError::Sim(e) => Some(e),
-            ExperimentError::CyclicCdg { .. } => None,
-        }
-    }
-}
-
-impl From<FlowSetError> for ExperimentError {
-    fn from(e: FlowSetError) -> Self {
-        ExperimentError::InvalidFlows(e)
-    }
-}
-
-impl From<CdgError> for ExperimentError {
-    fn from(e: CdgError) -> Self {
-        ExperimentError::Cdg(e)
-    }
-}
-
-impl From<AlgorithmError> for ExperimentError {
-    fn from(e: AlgorithmError) -> Self {
-        ExperimentError::Algorithm(e)
-    }
-}
-
-impl From<RouteError> for ExperimentError {
-    fn from(e: RouteError) -> Self {
-        ExperimentError::InvalidRoutes(e)
-    }
-}
-
-impl From<SimError> for ExperimentError {
-    fn from(e: SimError) -> Self {
-        ExperimentError::Sim(e)
+            .map_err(Error::from)
     }
 }
 
@@ -507,9 +370,9 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::InvalidFlows`] for malformed flow sets,
-    /// [`ExperimentError::Cdg`] when no acyclic CDG can be derived.
-    pub fn build(self) -> Result<Scenario, ExperimentError> {
+    /// [`Error::InvalidFlows`] for malformed flow sets, [`Error::Cdg`]
+    /// when no acyclic CDG can be derived.
+    pub fn build(self) -> Result<Scenario, Error> {
         self.flows.validate(&self.topo)?;
         let cdg = match self.cdg {
             Some(cdg) => cdg,
@@ -583,162 +446,14 @@ impl Scenario {
             cdg: &self.cdg,
         }
     }
-
-    /// Runs `algorithm` and **validates** the result: one route per flow
-    /// with correct endpoints and VCs, and — the paper's Lemma 1 — an
-    /// acyclic induced channel dependence graph.
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError::Algorithm`] when selection fails,
-    /// [`ExperimentError::InvalidRoutes`] for malformed routes, and
-    /// [`ExperimentError::CyclicCdg`] when the routes are not
-    /// deadlock-free.
-    pub fn select_routes(
-        &self,
-        algorithm: &dyn RouteAlgorithm,
-    ) -> Result<RouteSet, ExperimentError> {
-        let routes = algorithm.routes(&self.ctx())?;
-        routes.validate(&self.topo, &self.flows, self.vcs)?;
-        match deadlock::analyze(&self.topo, &routes, self.vcs) {
-            deadlock::DeadlockAnalysis::Free => Ok(routes),
-            deadlock::DeadlockAnalysis::Cyclic { cycle } => Err(ExperimentError::CyclicCdg {
-                algorithm: algorithm.name().to_owned(),
-                cycle_len: cycle.len(),
-            }),
-        }
-    }
-
-    /// Starts an [`Experiment`] pairing this scenario with `algorithm`.
-    pub fn experiment<'a>(&'a self, algorithm: &'a dyn RouteAlgorithm) -> Experiment<'a> {
-        Experiment {
-            scenario: self,
-            algorithm,
-            config: SimConfig::new(self.vcs),
-            rate: 1.0,
-            variation: None,
-            burst: None,
-            phases: None,
-        }
-    }
-}
-
-/// One scenario × one algorithm × one load point, ready to run.
-///
-/// A builder bridging to the plan/evaluate split: [`Experiment::plan`]
-/// plans through [`crate::Planner`] (route selection, Lemma-1
-/// certification, table compilation) and [`Experiment::eval_point`]
-/// states the load point for an [`crate::Evaluator`]. Planning once and
-/// evaluating many points is what makes rate/burst/saturation sweeps
-/// cheap.
-#[derive(Clone)]
-pub struct Experiment<'a> {
-    scenario: &'a Scenario,
-    algorithm: &'a dyn RouteAlgorithm,
-    config: SimConfig,
-    rate: f64,
-    variation: Option<MarkovVariation>,
-    burst: Option<BurstyOnOff>,
-    phases: Option<PhaseSchedule>,
-}
-
-impl fmt::Debug for Experiment<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Experiment")
-            .field("scenario", &self.scenario.name)
-            .field("algorithm", &self.algorithm.name())
-            .field("rate", &self.rate)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> Experiment<'a> {
-    /// Overrides the simulator configuration (VC count is pinned to the
-    /// scenario's).
-    #[must_use]
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the aggregate offered injection rate in packets/cycle
-    /// (split across flows proportionally to their demands).
-    #[must_use]
-    pub fn rate(mut self, rate: f64) -> Self {
-        self.rate = rate;
-        self
-    }
-
-    /// Adds run-time bandwidth variation (paper §5.3).
-    #[must_use]
-    pub fn variation(mut self, variation: MarkovVariation) -> Self {
-        self.variation = Some(variation);
-        self
-    }
-
-    /// Switches injection to the on/off bursty arrival process.
-    #[must_use]
-    pub fn burst(mut self, burst: BurstyOnOff) -> Self {
-        self.burst = Some(burst);
-        self
-    }
-
-    /// Adds a multi-phase rate schedule (cycle-boundary switching).
-    #[must_use]
-    pub fn phases(mut self, phases: PhaseSchedule) -> Self {
-        self.phases = Some(phases);
-        self
-    }
-
-    /// The algorithm under test.
-    pub fn algorithm(&self) -> &dyn RouteAlgorithm {
-        self.algorithm
-    }
-
-    /// Selects and validates routes without simulating (see
-    /// [`Scenario::select_routes`]).
-    ///
-    /// # Errors
-    ///
-    /// Selection, validation and [`ExperimentError::CyclicCdg`] errors.
-    pub fn select_routes(&self) -> Result<RouteSet, ExperimentError> {
-        self.scenario.select_routes(self.algorithm)
-    }
-
-    /// The experiment's load point in [`crate::Evaluator`] terms.
-    pub fn eval_point(&self) -> crate::plan::EvalPoint {
-        let mut point = crate::plan::EvalPoint::new(self.rate, self.config.clone());
-        if let Some(v) = self.variation {
-            point = point.with_variation(v);
-        }
-        if let Some(b) = self.burst {
-            point = point.with_burst(b);
-        }
-        if let Some(p) = &self.phases {
-            point = point.with_phases(p.clone());
-        }
-        point
-    }
-
-    /// Plans the experiment's algorithm on its scenario (uncached; hold
-    /// the [`crate::RoutePlan`] yourself — or use a
-    /// [`crate::Planner`] with a cache — to evaluate many points).
-    ///
-    /// # Errors
-    ///
-    /// Planning failures, converted to their [`ExperimentError`]
-    /// equivalents.
-    pub fn plan(&self) -> Result<std::sync::Arc<crate::plan::RoutePlan>, ExperimentError> {
-        crate::plan::Planner::new()
-            .plan(self.scenario, self.algorithm)
-            .map_err(ExperimentError::from)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsor_routing::{Baseline, Route, RouteHop, VcMask};
+    use crate::Planner;
+    use bsor_flow::FlowSetError;
+    use bsor_routing::{deadlock, Baseline, Route, RouteHop, SelectError, VcMask};
     use bsor_topology::NodeId;
 
     fn mesh_flows(topo: &Topology) -> FlowSet {
@@ -759,8 +474,10 @@ mod tests {
         let flows = mesh_flows(&topo);
         let direct = Baseline::XY.select(&topo, &flows, 2).expect("xy");
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-        let via_trait = scenario.select_routes(&Baseline::XY).expect("xy via trait");
-        assert_eq!(direct, via_trait);
+        let plan = Planner::new()
+            .plan(&scenario, &Baseline::XY)
+            .expect("xy via trait");
+        assert_eq!(&direct, plan.routes());
     }
 
     #[test]
@@ -769,9 +486,13 @@ mod tests {
         let flows = mesh_flows(&topo);
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
         let selector = DijkstraSelector::new();
-        let routes = scenario.select_routes(&selector).expect("routable");
-        assert_eq!(routes.len(), scenario.flows().len());
-        assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 2));
+        let plan = Planner::new().plan(&scenario, &selector).expect("routable");
+        assert_eq!(plan.routes().len(), scenario.flows().len());
+        assert!(deadlock::is_deadlock_free(
+            scenario.topology(),
+            plan.routes(),
+            2
+        ));
     }
 
     #[test]
@@ -779,11 +500,8 @@ mod tests {
         let topo = Topology::hypercube(3);
         let flows = mesh_flows(&topo);
         let scenario = Scenario::builder(topo, flows).vcs(2).build().expect("ok");
-        let err = scenario.select_routes(&Baseline::XY).unwrap_err();
-        assert!(matches!(
-            err,
-            ExperimentError::Algorithm(AlgorithmError::UnsupportedTopology { .. })
-        ));
+        let err = Planner::new().plan(&scenario, &Baseline::XY).unwrap_err();
+        assert!(matches!(err, Error::UnsupportedTopology { .. }));
     }
 
     #[test]
@@ -793,17 +511,15 @@ mod tests {
         let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
         let algo = Baseline::Romm { seed: 1 };
         assert_eq!(RouteAlgorithm::required_vcs(&algo), 2);
-        let err = scenario.select_routes(&algo).unwrap_err();
+        let err = Planner::new().plan(&scenario, &algo).unwrap_err();
         assert!(matches!(
             err,
-            ExperimentError::Algorithm(AlgorithmError::Select(
-                SelectError::NeedsVirtualChannels { .. }
-            ))
+            Error::Select(SelectError::NeedsVirtualChannels { .. })
         ));
     }
 
     /// An adversarial algorithm producing the canonical 2×2 turning-ring
-    /// deadlock; the pipeline must refuse it.
+    /// deadlock; the planner must refuse it.
     struct RingOfDeath;
 
     impl RouteAlgorithm for RingOfDeath {
@@ -811,7 +527,7 @@ mod tests {
             "ring-of-death"
         }
 
-        fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+        fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
             let topo = ctx.topo;
             let n = |x, y| topo.node_at(x, y).expect("in range");
             let hop = |a, b| RouteHop {
@@ -847,18 +563,19 @@ mod tests {
         flows.push(n(1, 1), n(0, 0), 10.0);
         flows.push(n(1, 0), n(0, 1), 10.0);
         let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
-        let err = scenario.select_routes(&RingOfDeath).unwrap_err();
+        let err = Planner::new().plan(&scenario, &RingOfDeath).unwrap_err();
         match &err {
-            ExperimentError::CyclicCdg {
+            Error::Deadlock {
                 algorithm,
                 cycle_len,
             } => {
                 assert_eq!(algorithm, "ring-of-death");
                 assert_eq!(*cycle_len, 4);
             }
-            other => panic!("expected CyclicCdg, got {other:?}"),
+            other => panic!("expected Deadlock, got {other:?}"),
         }
-        assert!(err.to_string().contains("refusing to simulate"));
+        assert_eq!(err.code(), "deadlock");
+        assert!(err.to_string().contains("refusing to plan"));
     }
 
     #[test]
@@ -889,29 +606,40 @@ mod tests {
             let flows = mesh_flows(&topo);
             let scenario = Scenario::builder(topo, flows).vcs(1).build().expect("ok");
             assert_eq!(scenario.cdg().name(), "up-down");
-            let routes = scenario
-                .select_routes(&DijkstraSelector::new())
+            let plan = Planner::new()
+                .plan(&scenario, &DijkstraSelector::new())
                 .expect("routable");
-            assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 1));
+            assert!(deadlock::is_deadlock_free(
+                scenario.topology(),
+                plan.routes(),
+                1
+            ));
         }
     }
 
     #[test]
     fn error_display_and_sources() {
-        let e = ExperimentError::CyclicCdg {
+        let e = Error::Deadlock {
             algorithm: "x".into(),
             cycle_len: 3,
         };
         assert!(e.to_string().contains("deadlock"));
-        let e: ExperimentError = AlgorithmError::Failed("boom".into()).into();
+        let e = Error::Algorithm("boom".into());
         assert_eq!(e.to_string(), "boom");
-        assert!(Error::source(&e).is_some());
-        let e: ExperimentError = FlowSetError::SelfFlow(bsor_flow::FlowId(0)).into();
+        assert!(std::error::Error::source(&e).is_none());
+        let e: Error = FlowSetError::SelfFlow(bsor_flow::FlowId(0)).into();
         assert!(e.to_string().contains("invalid flow set"));
-        let a = AlgorithmError::UnsupportedTopology {
+        assert!(std::error::Error::source(&e).is_some());
+        let a = Error::UnsupportedTopology {
             algorithm: "XY".into(),
             kind: TopologyKind::Hypercube,
         };
         assert!(a.to_string().contains("XY"));
+        let mut flows = FlowSet::new();
+        flows.push(NodeId(0), NodeId(0), 1.0);
+        let err = Scenario::builder(Topology::mesh2d(2, 2), flows)
+            .build()
+            .unwrap_err();
+        assert_eq!(err.code(), "invalid-flows");
     }
 }

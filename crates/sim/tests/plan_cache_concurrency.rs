@@ -5,9 +5,7 @@
 //! solver errors propagate to followers without being cached.
 
 use bsor_routing::{Baseline, RouteSet};
-use bsor_sim::{
-    AlgorithmError, PlanCache, PlanCacheConfig, Planner, RouteAlgorithm, Scenario, ScenarioCtx,
-};
+use bsor_sim::{Error, PlanCache, PlanCacheConfig, Planner, RouteAlgorithm, Scenario, ScenarioCtx};
 use bsor_topology::{NodeId, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -45,11 +43,11 @@ impl RouteAlgorithm for CountingXy {
         format!("counting-xy fail={}", self.fail)
     }
 
-    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, AlgorithmError> {
+    fn routes(&self, ctx: &ScenarioCtx<'_>) -> Result<RouteSet, Error> {
         self.solves.fetch_add(1, Ordering::SeqCst);
         std::thread::sleep(self.stall);
         if self.fail {
-            return Err(AlgorithmError::Failed("injected solver failure".into()));
+            return Err(Error::Algorithm("injected solver failure".into()));
         }
         Baseline::XY.routes(ctx)
     }

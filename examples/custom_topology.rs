@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_topology
 //! ```
 
-use bsor::{BsorAlgorithm, Scenario, TopologyRegistry};
+use bsor::{BsorAlgorithm, Planner, Scenario, TopologyRegistry};
 use bsor_flow::FlowSet;
 use bsor_routing::deadlock;
 use bsor_topology::NodeId;
@@ -32,10 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .named(format!("{family}-{w}x{h}"))
             .vcs(2)
             .build()?;
-        // One trait call routes every family: on meshes the framework
+        // One planner call routes every family: on meshes the framework
         // explores turn models, elsewhere ad-hoc acyclic CDGs.
-        let routes = scenario.select_routes(&BsorAlgorithm::dijkstra())?;
-        assert!(deadlock::is_deadlock_free(scenario.topology(), &routes, 2));
+        let plan = Planner::new().plan(&scenario, &BsorAlgorithm::dijkstra())?;
+        let routes = plan.routes();
+        assert!(deadlock::is_deadlock_free(scenario.topology(), routes, 2));
         println!(
             "{}: MCL {:.1} MB/s, mean {:.2} hops, deadlock-free",
             scenario.name(),

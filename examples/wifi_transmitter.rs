@@ -7,7 +7,7 @@
 //! cargo run --release --example wifi_transmitter
 //! ```
 
-use bsor::{AlgorithmRegistry, BsorAlgorithm, CdgStrategy, Scenario};
+use bsor::{AlgorithmRegistry, BsorAlgorithm, CdgStrategy, Planner, Scenario};
 use bsor_cdg::TurnModel;
 use bsor_routing::selectors::{MilpObjective, MilpSelector};
 use bsor_topology::Topology;
@@ -28,7 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Bandwidth-sensitive routing with static VC allocation.
-    let routes = scenario.select_routes(&BsorAlgorithm::dijkstra())?;
+    let planner = Planner::new();
+    let plan = planner.plan(&scenario, &BsorAlgorithm::dijkstra())?;
+    let routes = plan.routes();
     println!(
         "BSOR-Dijkstra: MCL {:.2} MB/s",
         routes.mcl(scenario.topology(), scenario.flows())
@@ -51,7 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .with_strategies(vec![CdgStrategy::TurnModel(
         TurnModel::negative_first().mirrored_y(),
     )]);
-    let shared = scenario.select_routes(&shared_algo)?;
+    let shared_plan = planner.plan(&scenario, &shared_algo)?;
+    let shared = shared_plan.routes();
     println!(
         "flows-per-link objective: max {} flows share a channel (MCL {:.2} MB/s)",
         shared.max_flows_per_link(scenario.topology()),
@@ -64,11 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbaseline MCLs (MB/s):");
     for name in ["xy", "yx", "romm", "valiant", "o1turn"] {
         let algorithm = algorithms.get(name).expect("registered");
-        let routes = scenario.select_routes(algorithm)?;
+        let plan = planner.plan(&scenario, algorithm)?;
         println!(
             "  {:8} {:7.2}",
             algorithm.name(),
-            routes.mcl(scenario.topology(), scenario.flows())
+            plan.routes().mcl(scenario.topology(), scenario.flows())
         );
     }
     Ok(())

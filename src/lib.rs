@@ -16,3 +16,9 @@ pub use bsor_routing as routing;
 pub use bsor_sim as sim;
 pub use bsor_topology as topology;
 pub use bsor_workloads as workloads;
+
+/// Compiles and runs README's Rust snippets as doctests, so the
+/// documented API cannot drift from the real one.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -3,10 +3,10 @@
 //! come out are structurally valid and deadlock-free.
 
 use bsor_repro::cdg::{AcyclicCdg, TurnModel};
-use bsor_repro::flow::{FlowNetwork, FlowSet, WeightParams};
+use bsor_repro::flow::{FlowId, FlowNetwork, FlowSet, WeightParams};
 use bsor_repro::netgraph::algo;
 use bsor_repro::routing::selectors::DijkstraSelector;
-use bsor_repro::routing::{deadlock, FlowOrder};
+use bsor_repro::routing::{deadlock, FlowOrder, Route, RouteHop, RouteSet, VcMask};
 use bsor_repro::topology::{NodeId, Topology};
 use proptest::prelude::*;
 
@@ -17,6 +17,113 @@ fn arbitrary_flows(nodes: usize, max_flows: usize) -> impl Strategy<Value = Vec<
     )
     .prop_map(|v| v.into_iter().filter(|(s, d, _)| s != d).collect::<Vec<_>>())
     .prop_filter("at least one flow", |v| !v.is_empty())
+}
+
+/// A random walk per `(start, steps)` pair: each step leaves the
+/// current node on out-link `choice % degree` with VC mask `bits`
+/// (clipped to the VC count, never empty). U-turns and revisits are
+/// allowed, so the induced dependence graph is often cyclic.
+fn walk_routes(topo: &Topology, vcs: u8, walks: &[(u32, Vec<(u32, u8)>)]) -> Vec<Route> {
+    let n = topo.num_nodes() as u32;
+    walks
+        .iter()
+        .enumerate()
+        .map(|(i, (start, steps))| {
+            let mut node = NodeId(start % n);
+            let hops = steps
+                .iter()
+                .map(|&(choice, bits)| {
+                    let out = topo.out_links(node);
+                    let link = out[choice as usize % out.len()];
+                    node = topo.link(link).dst;
+                    let mask = bits & VcMask::all(vcs).0;
+                    RouteHop {
+                        link,
+                        vcs: VcMask(if mask == 0 { 1 } else { mask }),
+                    }
+                })
+                .collect();
+            Route {
+                flow: FlowId(i as u32),
+                hops,
+            }
+        })
+        .collect()
+}
+
+/// One lap around the topology's ring (row 0 of a torus) plus the
+/// first link again, on every VC: its own dependencies close a cycle.
+fn closed_lap(topo: &Topology, vcs: u8, flow: u32) -> Route {
+    let lap: Vec<NodeId> = if topo.height() > 1 {
+        (0..topo.width())
+            .map(|x| topo.node_at(x, 0).expect("row 0"))
+            .collect()
+    } else {
+        topo.node_ids().collect()
+    };
+    let n = lap.len();
+    Route {
+        flow: FlowId(flow),
+        hops: (0..=n)
+            .map(|i| RouteHop {
+                link: topo
+                    .find_link(lap[i % n], lap[(i + 1) % n])
+                    .expect("lap neighbours are adjacent"),
+                vcs: VcMask::all(vcs),
+            })
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Differential check of the planner's only deadlock gate: on
+    /// arbitrary (often cyclic) hop sequences over rings and tori,
+    /// `certify` succeeds exactly when `analyze` finds no cycle, every
+    /// certificate it issues re-verifies against the routes, and a
+    /// refusal carries the same cycle `analyze` reports.
+    #[test]
+    fn certify_agrees_with_analyze_on_arbitrary_walks(
+        torus in 0u8..2,
+        size in 3u16..=6,
+        vcs in 1u8..=2,
+        walks in prop::collection::vec(
+            (0u32..64, prop::collection::vec((0u32..8, 1u8..4), 1..10)),
+            1..8,
+        ),
+        lap in 0u8..2,
+    ) {
+        let topo = if torus == 1 {
+            Topology::torus2d(size.min(4), size.min(4))
+        } else {
+            Topology::ring(size + 2)
+        };
+        let mut routes = walk_routes(&topo, vcs, &walks);
+        if lap == 1 {
+            routes.push(closed_lap(&topo, vcs, routes.len() as u32));
+        }
+        let routes = RouteSet::from_routes(routes);
+        let analysis = deadlock::analyze(&topo, &routes, vcs);
+        let certified = deadlock::certify(&topo, &routes, vcs);
+        prop_assert_eq!(certified.is_ok(), analysis.is_free());
+        match &certified {
+            Ok(certificate) => {
+                prop_assert!(certificate.verify(&routes));
+                prop_assert_eq!(certificate.vcs(), vcs);
+            }
+            Err(cycle) => {
+                prop_assert!(!cycle.is_empty());
+                prop_assert_eq!(
+                    &analysis,
+                    &deadlock::DeadlockAnalysis::Cyclic { cycle: cycle.clone() }
+                );
+            }
+        }
+        if lap == 1 {
+            prop_assert!(!analysis.is_free(), "a closed lap is a dependence cycle");
+        }
+    }
 }
 
 proptest! {

@@ -11,7 +11,7 @@ use bsor::{
 use bsor_repro::flow::{FlowNetwork, FlowSet};
 use bsor_repro::routing::selectors::MilpSelector;
 use bsor_repro::routing::Baseline;
-use bsor_repro::sim::{PlanError, SimConfig};
+use bsor_repro::sim::{Error, SimConfig};
 use bsor_repro::topology::{NodeId, Topology, TopologyRegistry};
 use bsor_repro::workloads::all_six;
 use proptest::prelude::*;
@@ -85,7 +85,10 @@ proptest! {
             (Err(a), Err(b), Err(c)) => {
                 prop_assert_eq!(&a, &c);
                 prop_assert_eq!(&a, &b);
-                prop_assert!(matches!(a, PlanError::Algorithm(_)));
+                prop_assert!(matches!(
+                    a,
+                    Error::Select(_) | Error::UnsupportedTopology { .. } | Error::Algorithm(_)
+                ));
             }
             (a, _, c) => prop_assert!(false, "cache changed the outcome: {a:?} vs {c:?}"),
         }
